@@ -125,7 +125,7 @@ class _TimerEvent(Event):
 
 def _churn(queue, n_events: int, n_chains: int,
            n_timers: int) -> Dict[str, float]:
-    """Run the churn workload on ``queue`` (any backend event queue)."""
+    """Run the churn workload on ``queue``."""
     per_chain = n_events // n_chains
     chains = [_ChurnEvent(queue, seed=0xC0FFEE + 97 * i, budget=per_chain)
               for i in range(n_chains)]
@@ -159,37 +159,6 @@ def bench_eventq(n_events: int = 60_000, n_chains: int = 24,
     layer's replay timers).
     """
     return _churn(EventQueue("bench"), n_events, n_chains, n_timers)
-
-
-def bench_dispatch(n_events: int = 40_000,
-                   repeats: int = 3) -> Dict[str, Any]:
-    """Per-backend scheduler dispatch overhead on one churn workload.
-
-    Runs the same churn workload on every distinct event-queue
-    implementation the backend registry knows about (``turbo`` reuses
-    the hybrid queue, so only ``reference`` and ``hybrid`` are
-    measured).  The headline is ``hybrid_vs_reference`` — hybrid ops
-    per second over reference ops per second — which CI bounds from
-    below: if registry indirection or fast-path notification hooks ever
-    bloat the hybrid dispatch loop, the ratio sinks and the gate trips,
-    machine speed cancelled out by construction.  Repeats are
-    interleaved across backends and each side keeps its best, so a load
-    spike hits both queues rather than skewing the ratio.
-    """
-    from repro.sim.backend import resolve
-
-    best: Dict[str, float] = {}
-    for __ in range(repeats):
-        for name in ("reference", "hybrid"):
-            queue = resolve(name).make_eventq(f"dispatch-{name}")
-            result = _churn(queue, n_events, n_chains=24, n_timers=8)
-            if result["ops_per_sec"] > best.get(name, 0.0):
-                best[name] = result["ops_per_sec"]
-    out: Dict[str, Any] = {
-        f"{name}_ops_per_sec": round(ops) for name, ops in best.items()}
-    out["hybrid_vs_reference"] = round(
-        best["hybrid"] / best["reference"], 4)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,44 +236,24 @@ def bench_link_saturation(n_tlps: int = 6_000) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Benchmark 3: the full dd Gen 2 x1 point.
 # ---------------------------------------------------------------------------
-def bench_dd(best_of: int = 3, check: bool = False,
-             backend: Optional[str] = None) -> Dict[str, Any]:
+def bench_dd(best_of: int = 3, check: bool = False) -> Dict[str, Any]:
     """Best-of-N wall clock of the Gen 2 x1 64 MB-scaled ``dd`` point.
 
     Tracing stays off (``trace_categories=None``); ``check`` arms the
-    runtime invariant checker for the whole run.  ``backend`` pins the
-    simulation engine for the measured runs by exporting
-    ``REPRO_BACKEND`` around them (the same path the harness ``--backend``
-    flag uses), restoring the environment afterwards; None keeps
-    whatever engine the caller's environment selects.
+    runtime invariant checker for the whole run.
     """
     from benchmarks.harness import run_dd
-    from repro.sim.backend import BACKEND_ENV, resolve
 
-    if backend is not None:
-        resolve(backend)  # fail fast on unknown names
-        saved = os.environ.get(BACKEND_ENV)
-        os.environ[BACKEND_ENV] = backend
     runs: List[float] = []
     metrics: Dict[str, Any] = {}
-    try:
-        for __ in range(best_of):
-            start = time.perf_counter()
-            metrics = run_dd(config.BLOCK_SIZES["64MB"], root_link_width=1,
-                             device_link_width=1, trace_categories=None,
-                             check=check)
-            runs.append(round(time.perf_counter() - start, 4))
-    finally:
-        if backend is not None:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV, None)
-            else:
-                os.environ[BACKEND_ENV] = saved
+    for __ in range(best_of):
+        start = time.perf_counter()
+        metrics = run_dd(config.BLOCK_SIZES["64MB"], root_link_width=1,
+                         device_link_width=1, trace_categories=None,
+                         check=check)
+        runs.append(round(time.perf_counter() - start, 4))
     return {"wall_s": min(runs), "runs_s": runs,
-            "throughput_gbps": round(metrics["throughput_gbps"], 6),
-            "fastpath_batches": metrics["fastpath_batches"],
-            "fastpath_tlps": metrics["fastpath_tlps"],
-            "fastpath_standdowns": metrics["fastpath_standdowns"]}
+            "throughput_gbps": round(metrics["throughput_gbps"], 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +261,22 @@ def bench_dd(best_of: int = 3, check: bool = False,
 # ---------------------------------------------------------------------------
 def run_suite(quick: bool = False, skip_checked: bool = False) -> Dict[str, Any]:
     """Run all benchmarks; return one phase block for BENCH_core.json."""
-    from repro.sim.backend import default_backend_name
-
     calib = min(calibration_workload() for __ in range(2 if quick else 3))
     eventq = bench_eventq()
-    dispatch = bench_dispatch()
     link = bench_link_saturation()
-    best_of = 2 if quick else 3
-    dd = bench_dd(best_of=best_of, backend="hybrid")
-    dd_turbo = bench_dd(best_of=best_of, backend="turbo")
-    # The backends-are-interchangeable contract, enforced where the
-    # numbers are produced: a turbo run that drifts from hybrid by even
-    # one bit is a broken fast path, not a benchmark result.
-    if dd_turbo["throughput_gbps"] != dd["throughput_gbps"]:
-        raise RuntimeError(
-            "turbo backend changed simulated throughput: "
-            f"{dd_turbo['throughput_gbps']} != {dd['throughput_gbps']}")
+    dd = bench_dd(best_of=2 if quick else 3)
     block: Dict[str, Any] = {
-        "backend": default_backend_name(),
         "calibration_s": round(calib, 4),
         "eventq_ops_per_sec": round(eventq["ops_per_sec"]),
         "eventq_wall_s": round(eventq["wall_s"], 4),
-        "dispatch_reference_ops_per_sec": dispatch["reference_ops_per_sec"],
-        "dispatch_hybrid_ops_per_sec": dispatch["hybrid_ops_per_sec"],
-        "dispatch_hybrid_vs_reference": dispatch["hybrid_vs_reference"],
         "link_tlps_per_sec": round(link["tlps_per_sec"]),
         "link_wall_s": round(link["wall_s"], 4),
         "dd_gen2x1_wall_s": dd["wall_s"],
         "dd_gen2x1_runs_s": dd["runs_s"],
         "dd_gen2x1_throughput_gbps": dd["throughput_gbps"],
-        "dd_gen2x1_turbo_wall_s": dd_turbo["wall_s"],
-        "dd_gen2x1_turbo_runs_s": dd_turbo["runs_s"],
-        "dd_gen2x1_turbo_fastpath_batches": dd_turbo["fastpath_batches"],
-        "dd_gen2x1_turbo_fastpath_tlps": dd_turbo["fastpath_tlps"],
-        "dd_gen2x1_turbo_fastpath_standdowns":
-            dd_turbo["fastpath_standdowns"],
         # Machine-normalised: wall clock in units of the calibration
         # loop.  These are what the CI thresholds bound.
         "dd_gen2x1_norm": round(dd["wall_s"] / calib, 3),
-        "dd_gen2x1_turbo_norm": round(dd_turbo["wall_s"] / calib, 3),
         "link_norm": round(link["wall_s"] / calib, 3),
         "eventq_norm": round(eventq["wall_s"] / calib, 3),
         "python": platform.python_version(),

@@ -12,14 +12,7 @@ The kernel is deterministic: events scheduled for the same tick fire in
 configuration produce identical results.
 """
 
-from repro.sim.eventq import Event, EventQueue, CallbackEvent, ReferenceEventQueue
-from repro.sim.backend import (
-    Backend,
-    backend_names,
-    default_backend_name,
-    register,
-    resolve,
-)
+from repro.sim.eventq import Event, EventQueue, CallbackEvent
 from repro.sim.simobject import SimObject, Simulator
 from repro.sim.checkpoint import (
     CheckpointError,
@@ -43,13 +36,7 @@ from repro.sim.stats import (
 __all__ = [
     "Event",
     "EventQueue",
-    "ReferenceEventQueue",
     "CallbackEvent",
-    "Backend",
-    "backend_names",
-    "default_backend_name",
-    "register",
-    "resolve",
     "SimObject",
     "Simulator",
     "Process",

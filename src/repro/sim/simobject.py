@@ -12,8 +12,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
-from repro.sim import backend as backend_registry
-from repro.sim.eventq import CallbackEvent, Event
+from repro.sim.eventq import CallbackEvent, Event, EventQueue
 from repro.sim.stats import StatGroup
 
 #: Environment variable consulted when ``Simulator(check=None)``: set to
@@ -45,24 +44,15 @@ class Simulator:
         check: enable the runtime invariant checker
             (:mod:`repro.check`); None consults the ``REPRO_CHECK``
             environment variable (default off).
-        backend: name of the simulation engine to build the event
-            queue through (:mod:`repro.sim.backend`); None consults
-            the ``REPRO_BACKEND`` environment variable (default
-            ``hybrid``).  Unknown names raise ValueError.
     """
 
     def __init__(self, name: str = "sim", tracer: Optional[Tracer] = None,
-                 check: Optional[bool] = None,
-                 backend: Optional[str] = None):
+                 check: Optional[bool] = None):
         self.name = name
         # The tracer is created disabled; attaching a sink enables it.
         # Components cache the reference, so it is never replaced.
         self.tracer = tracer if tracer is not None else Tracer()
-        #: The resolved simulation engine (:class:`repro.sim.backend
-        #: .Backend`); components consult ``backend.link_fastpath`` at
-        #: construction time to decide whether to install fast paths.
-        self.backend = backend_registry.resolve(backend)
-        self.eventq = self.backend.make_eventq(f"{name}.eventq")
+        self.eventq = EventQueue(f"{name}.eventq")
         self.eventq.tracer = self.tracer
         # The checker mirrors the tracer's lifecycle: always present,
         # created disabled, cached by components — so the hot paths pay
@@ -107,18 +97,8 @@ class Simulator:
         event queue fully drained, the quiescence watchdog fires: a
         non-empty replay buffer with no event left to drain it is
         reported as a deadlock rather than silently swallowed.
-
-        Partitioned backends (``backend.partitioned``) route eligible
-        runs through :func:`repro.sim.partition.run_partitioned`, which
-        falls back to the ordinary single-process drain whenever the
-        run cannot be partitioned; either way the post-run quiescence
-        check and exit callbacks see the same merged end state.
         """
-        if getattr(self.backend, "partitioned", False):
-            from repro.sim.partition import run_partitioned
-            tick = run_partitioned(self, until=until, max_events=max_events)
-        else:
-            tick = self.eventq.run(until=until, max_events=max_events)
+        tick = self.eventq.run(until=until, max_events=max_events)
         if self.checker.enabled and self.eventq.empty():
             self.checker.check_quiescence()
         if self._exit_callbacks and self.eventq.empty():

@@ -1,6 +1,7 @@
 """Sweep-engine behaviour: ordering, caching, fan-out, bench records."""
 
 import json
+import os
 
 import pytest
 
@@ -220,17 +221,15 @@ def test_unprefixed_points_never_see_resume_from():
     assert "prefixes" not in result.record
 
 
-def test_backend_recorded_but_kept_out_of_cache_keys(tmp_path, monkeypatch):
-    # Backends produce byte-identical results, so a sweep cached under
-    # one engine must hit under another — the backend name is recorded
-    # in the bench record for wall-clock forensics only.
+def test_usable_cores_recorded_and_second_run_hits_cache(tmp_path):
+    # The record carries the host's usable core count, so a sweep's wall
+    # clock can be read against the cores it actually had.
     engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_BACKEND", "hybrid")
     first = engine.run(cheap_sweep(3), workers=1)
-    assert first.record["backend"] == "hybrid"
+    assert first.record["usable_cores"] == len(os.sched_getaffinity(0))
+    assert "backend" not in first.record
     assert first.cache_hits == 0
-    monkeypatch.setenv("REPRO_BACKEND", "turbo")
     second = engine.run(cheap_sweep(3), workers=1)
-    assert second.record["backend"] == "turbo"
-    assert second.cache_hits == 3, "backend name must not enter cache keys"
+    assert second.record["usable_cores"] == first.record["usable_cores"]
+    assert second.cache_hits == 3
     assert canonical_json(first.results) == canonical_json(second.results)

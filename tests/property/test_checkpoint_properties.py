@@ -2,22 +2,20 @@
 
 The contract under test: cutting a run at an arbitrary tick, capturing,
 rebuilding a twin and restoring must continue **byte-identically** to
-never having checkpointed — same global dispatch order (anchored to
-:class:`repro.sim.eventq.ReferenceEventQueue`, the executable dispatch
-specification), same per-object state, same queue bookkeeping — for
-arbitrary schedule/deschedule workloads across all three tiers of the
-hybrid queue.
+never having checkpointed — same global dispatch order (anchored to a
+bare :class:`repro.sim.eventq.EventQueue` fed the same workload), same
+per-object state, same queue bookkeeping — for arbitrary
+schedule/deschedule workloads from same-tick to deep-future delays.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.checkpoint import capture, checkpoint_json, restore
-from repro.sim.eventq import CallbackEvent, Event, ReferenceEventQueue
+from repro.sim.eventq import CallbackEvent, Event, EventQueue
 from repro.sim.simobject import SimObject, Simulator
 
-#: Delays covering the active batch, the bucket ring, and the far heap
-#: (same tiers the hybrid-queue reference tests exercise).
+#: Delays from same-tick through adjacent ticks to the deep future.
 _SPAN = 64 << 20
 _DELAYS = (0, 1, 37, 1 << 20, 17 << 20, _SPAN - 1, _SPAN, 5 * _SPAN + 3)
 
@@ -44,7 +42,7 @@ class _Recorder(SimObject):
 
 
 class _RefEvent(Event):
-    """Reference-queue twin of a recorder firing."""
+    """Bare-queue twin of a recorder firing."""
 
     __slots__ = ("log", "owner")
 
@@ -96,9 +94,9 @@ def test_cut_capture_restore_continues_byte_identically(workload):
             sim_a.eventq.deschedule(event)
     sim_a.run()
 
-    # The reference heap anchors A's global dispatch order.
+    # A bare queue, no simulator around it, anchors A's dispatch order.
     ref_log = []
-    ref = ReferenceEventQueue()
+    ref = EventQueue()
     ref_events = []
     for i, (owner, when, priority) in enumerate(ops):
         event = _RefEvent(ref_log, f"o{owner}", priority, f"op{i}")

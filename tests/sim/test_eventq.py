@@ -167,3 +167,82 @@ def test_events_processed_counter():
         q.schedule_callback(i, lambda: None)
     q.run()
     assert q.events_processed == 5
+
+
+# ---------------------------------------------------------------------------
+# Recycled events: a squashed entry must never fire a stale payload.
+# ---------------------------------------------------------------------------
+class _RecycledEvent(Event):
+    """Minimal model of the link/port recycled events: one instance,
+    mutable payload slot, reused as soon as ``scheduled`` is False."""
+
+    __slots__ = ("payload", "log")
+
+    def __init__(self, log):
+        super().__init__(name="recycled")
+        self.payload = None
+        self.log = log
+
+    def process(self):
+        self.log.append(self.payload)
+
+
+def test_recycled_event_does_not_fire_stale_payload_after_squash():
+    q = EventQueue()
+    log = []
+    event = _RecycledEvent(log)
+    event.payload = "stale"
+    q.schedule(event, 100)
+    q.deschedule(event)
+    # Reuse the instance immediately — same tick as the squashed entry.
+    event.payload = "fresh"
+    q.schedule(event, 100)
+    q.run()
+    assert log == ["fresh"]
+
+
+def test_recycled_event_squashed_mid_run_fires_only_fresh_payload():
+    # The hazard inside a run: an earlier event at the same tick
+    # deschedules + reschedules (recycles) a later one whose squashed
+    # entry is still sitting in the queue.
+    q = EventQueue()
+    log = []
+    recycled = _RecycledEvent(log)
+
+    def recycle():
+        q.deschedule(recycled)
+        recycled.payload = "fresh"
+        q.schedule(recycled, q.curtick)  # same tick, after the squashed entry
+
+    recycled.payload = "stale"
+    q.schedule_callback(50, recycle)
+    q.schedule(recycled, 50)
+    q.run()
+    assert log == ["fresh"]
+
+
+def test_recycled_event_reusable_after_firing():
+    q = EventQueue()
+    log = []
+    event = _RecycledEvent(log)
+    event.payload = 1
+    q.schedule(event, 10)
+    q.run()
+    assert not event.scheduled
+    event.payload = 2
+    q.schedule(event, q.curtick + 5)
+    q.run()
+    assert log == [1, 2]
+
+
+def test_deep_future_events_fire_after_near_ones():
+    # Far-future work (replay timeouts, dd's startup overhead) scheduled
+    # before near-term work still fires in tick order, and the clock
+    # lands exactly on the last event.
+    order = []
+    q = EventQueue()
+    for tag, when in (("far", 10**13 + 7), ("near", 3), ("mid", 10**8)):
+        q.schedule(RecordingEvent(order, tag, name=tag), when)
+    q.run()
+    assert order == ["near", "mid", "far"]
+    assert q.curtick == 10**13 + 7

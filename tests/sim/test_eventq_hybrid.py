@@ -1,40 +1,104 @@
-"""Property tests: the hybrid EventQueue against the reference heap.
+"""Property tests: EventQueue against a brute-force model of dispatch order.
 
-:class:`repro.sim.eventq.ReferenceEventQueue` is the original pure
-binary-heap scheduler, kept as the executable specification of dispatch
-order.  These tests drive it and the bucketed hybrid with identical
-randomized schedule/deschedule/reschedule workloads (fixed seeds) and
-assert the two dispatch sequences — tags, ticks, and therefore
-(tick, priority, insertion-seq) order — are identical, including under
-``until`` and ``max_events`` stepping.
+``_ModelQueue`` below is the executable specification: a flat mapping
+of pending events scanned for its ``(tick, priority, insertion-seq)``
+minimum on every pop.  These tests drive it and the heap
+:class:`repro.sim.eventq.EventQueue` with identical randomized
+schedule/deschedule/reschedule workloads (fixed seeds) and assert the
+two dispatch sequences — tags, ticks, and therefore dispatch order —
+are identical, including under ``until`` and ``max_events`` stepping,
+and that ``len``/``empty``/``next_tick`` agree at every step.
 
-Also here: the recycled-event contract (a squashed entry can never fire
-a stale payload, even when its event is immediately rescheduled at the
-same tick), compaction behaviour, and the O(1) ``__len__``.
+The workloads mix near and far delays with lazily squashed entries,
+so the heap's squashed-head skipping is exercised throughout.
 """
 
 import random
 
 import pytest
 
-from repro.sim.eventq import Event, EventQueue, ReferenceEventQueue
+from repro.sim.eventq import Event, EventQueue
 
-# Delay distribution for randomized workloads, chosen to exercise every
-# tier of the hybrid: 0 / tiny delays land in the active batch (insort
-# path), medium ones in the bucket ring, and large ones beyond the
-# ~67 µs window land in the far-future heap (default span is
-# 64 buckets << 20 bits = 67_108_864 ticks).
+# Delay distribution for randomized workloads: same-tick and adjacent
+# events interleave with ones many orders of magnitude further out, so
+# every run mixes same-tick priority ties with deep-future work.
 _SPAN = 64 << 20
 _DELAY_CHOICES = (
-    0,              # same-tick: insort into the draining batch
+    0,              # same tick as the scheduler
     1,              # adjacent tick
-    37,             # within the current bucket
-    1 << 20,        # next bucket
-    17 << 20,       # mid-ring
-    _SPAN - 1,      # last tick inside the window
-    _SPAN,          # first tick beyond: far heap
-    5 * _SPAN + 3,  # deep future: wheel must jump, not step
+    37,
+    1 << 20,
+    17 << 20,
+    _SPAN - 1,
+    _SPAN,
+    5 * _SPAN + 3,  # deep future
 )
+
+
+class _ModelQueue:
+    """Brute-force dispatch-order model with EventQueue's driving API.
+
+    Pending events map to their ``(when, priority, seq)`` key; every
+    pop scans for the minimum.  Slow and obviously correct.
+    """
+
+    def __init__(self):
+        self.curtick = 0
+        self.events_processed = 0
+        self._pending = {}
+        self._next_seq = 0
+
+    def schedule(self, event, when):
+        assert when >= self.curtick
+        assert event not in self._pending
+        self._pending[event] = (when, event.priority, self._next_seq)
+        self._next_seq += 1
+        return event
+
+    def deschedule(self, event):
+        del self._pending[event]
+
+    def reschedule(self, event, when):
+        self._pending.pop(event, None)
+        return self.schedule(event, when)
+
+    def __len__(self):
+        return len(self._pending)
+
+    def empty(self):
+        return not self._pending
+
+    def _head(self):
+        if not self._pending:
+            return None
+        return min(self._pending.items(), key=lambda item: item[1])
+
+    def next_tick(self):
+        head = self._head()
+        return None if head is None else head[1][0]
+
+    def service_one(self):
+        head = self._head()
+        if head is None:
+            return False
+        event, (when, __, __) = head
+        del self._pending[event]
+        self.curtick = when
+        self.events_processed += 1
+        event.process()
+        return True
+
+    def run(self, until=None, max_events=None):
+        serviced = 0
+        while self._pending:
+            if until is not None and self.next_tick() > until:
+                self.curtick = until
+                break
+            if max_events is not None and serviced == max_events:
+                break
+            self.service_one()
+            serviced += 1
+        return self.curtick
 
 
 class _WorkloadEvent(Event):
@@ -101,16 +165,16 @@ class _Workload:
 
 
 def _run_pair(seed, runner):
-    """Run the same seeded workload on both queues via ``runner``."""
-    ref = _Workload(ReferenceEventQueue(), seed)
-    hyb = _Workload(EventQueue(), seed)
-    runner(ref.q)
-    runner(hyb.q)
-    assert ref.log, "workload fired nothing — test is vacuous"
-    assert hyb.log == ref.log
-    assert hyb.q.curtick == ref.q.curtick
-    assert hyb.q.events_processed == ref.q.events_processed
-    return ref, hyb
+    """Run the same seeded workload on the model and the heap via ``runner``."""
+    model = _Workload(_ModelQueue(), seed)
+    heap = _Workload(EventQueue(), seed)
+    runner(model.q)
+    runner(heap.q)
+    assert model.log, "workload fired nothing — test is vacuous"
+    assert heap.log == model.log
+    assert heap.q.curtick == model.q.curtick
+    assert heap.q.events_processed == model.q.events_processed
+    return model, heap
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -121,8 +185,9 @@ def test_randomized_dispatch_matches_reference(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_dispatch_matches_under_until_steps(seed):
     def stepped(q):
-        # March time forward in fixed strides so runs stop mid-batch,
-        # mid-window, and mid-heap; the final unbounded run drains.
+        # March time forward in fixed strides so runs stop between
+        # same-tick groups and in long idle gaps; the final unbounded
+        # run drains.
         for limit in range(0, 40 * _SPAN, 3 * _SPAN + 12_345):
             q.run(until=limit)
         q.run()
@@ -144,158 +209,14 @@ def test_randomized_dispatch_matches_under_max_events_steps(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_len_and_next_tick_track_reference(seed):
-    ref = _Workload(ReferenceEventQueue(), seed)
-    hyb = _Workload(EventQueue(), seed)
+    model = _Workload(_ModelQueue(), seed)
+    heap = _Workload(EventQueue(), seed)
     for __ in range(1000):
-        assert len(hyb.q) == len(ref.q)
-        assert hyb.q.empty() == ref.q.empty()
-        assert hyb.q.next_tick() == ref.q.next_tick()
-        if hyb.q.empty():
+        assert len(heap.q) == len(model.q)
+        assert heap.q.empty() == model.q.empty()
+        assert heap.q.next_tick() == model.q.next_tick()
+        if heap.q.empty():
             break
-        assert hyb.q.service_one() == ref.q.service_one()
-        assert hyb.log == ref.log
-    assert hyb.q.empty() and ref.q.empty()
-
-
-# ---------------------------------------------------------------------------
-# Recycled events: a squashed entry must never fire a stale payload.
-# ---------------------------------------------------------------------------
-class _RecycledEvent(Event):
-    """Minimal model of the link/port recycled events: one instance,
-    mutable payload slot, reused as soon as ``scheduled`` is False."""
-
-    __slots__ = ("payload", "log")
-
-    def __init__(self, log):
-        super().__init__(name="recycled")
-        self.payload = None
-        self.log = log
-
-    def process(self):
-        self.log.append(self.payload)
-
-
-def test_recycled_event_does_not_fire_stale_payload_after_squash():
-    q = EventQueue()
-    log = []
-    event = _RecycledEvent(log)
-    event.payload = "stale"
-    q.schedule(event, 100)
-    q.deschedule(event)
-    # Reuse the instance immediately — same tick as the squashed entry.
-    event.payload = "fresh"
-    q.schedule(event, 100)
-    q.run()
-    assert log == ["fresh"]
-
-
-def test_recycled_event_squashed_mid_run_fires_only_fresh_payload():
-    # The hazard inside a drain batch: an earlier event at the same tick
-    # deschedules + reschedules (recycles) a later one whose squashed
-    # entry is already sitting in the active batch.
-    q = EventQueue()
-    log = []
-    recycled = _RecycledEvent(log)
-
-    def recycle():
-        q.deschedule(recycled)
-        recycled.payload = "fresh"
-        q.schedule(recycled, q.curtick)  # same tick, after the squashed entry
-
-    recycled.payload = "stale"
-    q.schedule_callback(50, recycle)
-    q.schedule(recycled, 50)
-    q.run()
-    assert log == ["fresh"]
-
-
-def test_recycled_event_reusable_after_firing():
-    q = EventQueue()
-    log = []
-    event = _RecycledEvent(log)
-    event.payload = 1
-    q.schedule(event, 10)
-    q.run()
-    assert not event.scheduled
-    event.payload = 2
-    q.schedule(event, q.curtick + 5)
-    q.run()
-    assert log == [1, 2]
-
-
-# ---------------------------------------------------------------------------
-# Compaction and O(1) length.
-# ---------------------------------------------------------------------------
-class _CountingEvent(Event):
-    __slots__ = ()
-
-    def process(self):
-        pass
-
-
-def _physical_entries(q):
-    return (len(q._heap) + len(q._active) - q._active_pos
-            + sum(len(b) for b in q._buckets))
-
-
-def test_compaction_drops_squashed_entries_from_all_tiers():
-    q = EventQueue()
-    events = []
-    # Spread across several buckets and the far heap.
-    for i in range(3000):
-        e = _CountingEvent()
-        q.schedule(e, (i % 5) * (1 << 19) + (0 if i % 3 else 2 * _SPAN))
-        events.append(e)
-    for e in events[:-10]:
-        q.deschedule(e)
-    assert len(q) == 10
-    # Dead entries must have been physically compacted away, not just
-    # squashed in place: 2990 squashed vs 10 live crosses the threshold
-    # repeatedly.  A residue below the compaction floor may remain.
-    assert q._squashed <= q.COMPACT_MIN_SQUASHED
-    assert _physical_entries(q) <= len(q) + q.COMPACT_MIN_SQUASHED
-    fired = 0
-    while q.service_one():
-        fired += 1
-    assert fired == 10
-    assert q.empty() and len(q) == 0
-
-
-def test_len_is_a_counter_not_a_scan():
-    q = EventQueue()
-    events = [_CountingEvent() for __ in range(100)]
-    for i, e in enumerate(events):
-        q.schedule(e, i)
-        assert len(q) == i + 1
-    for i, e in enumerate(events[:50]):
-        q.deschedule(e)
-        assert len(q) == 99 - i
-    assert not q.empty()
-    while q.service_one():
-        pass
-    assert len(q) == 0 and q.empty()
-
-
-def test_deep_future_wheel_jump():
-    # An empty wheel with only far-heap work: the window must jump
-    # straight to the heap minimum, not step bucket by bucket.
-    q = EventQueue()
-
-    class Tagged(Event):
-        __slots__ = ("log", "tag")
-
-        def __init__(self, log, tag):
-            super().__init__(name=tag)
-            self.log = log
-            self.tag = tag
-
-        def process(self):
-            self.log.append(self.tag)
-
-    order = []
-    for tag, when in (("far", 400 * _SPAN + 7), ("near", 3),
-                      ("mid", 2 * _SPAN)):
-        q.schedule(Tagged(order, tag), when)
-    q.run()
-    assert order == ["near", "mid", "far"]
-    assert q.curtick == 400 * _SPAN + 7
+        assert heap.q.service_one() == model.q.service_one()
+        assert heap.log == model.log
+    assert heap.q.empty() and model.q.empty()
