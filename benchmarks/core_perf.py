@@ -14,7 +14,8 @@ changes cannot silently regress it.  Three benchmarks, cheapest first:
   clock.
 * **dd** — the headline number: the paper's Gen 2 x1 64 MB-scaled
   ``dd`` point, best-of-N wall clock with tracer and checker off, plus
-  one run with the invariant checker armed.
+  one run with the invariant checker armed; their ratio
+  (``dd_gen2x1_checked_ratio``) is the checker's overhead.
 
 Every record also carries a **calibration** time: a frozen heapq
 workload that does not touch repro code at all.  Dividing a wall-clock
@@ -284,6 +285,10 @@ def run_suite(quick: bool = False, skip_checked: bool = False) -> Dict[str, Any]
     if not skip_checked:
         checked = bench_dd(best_of=1, check=True)
         block["dd_gen2x1_checked_wall_s"] = checked["wall_s"]
+        # The checker's cost as a ratio of two runs on the same machine,
+        # so it needs no calibration to compare across machines.
+        block["dd_gen2x1_checked_ratio"] = round(
+            checked["wall_s"] / dd["wall_s"], 3)
         if checked["throughput_gbps"] != dd["throughput_gbps"]:
             raise RuntimeError(
                 "checker-armed run changed simulated throughput: "

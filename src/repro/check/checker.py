@@ -42,14 +42,14 @@ protocol rules:
 
 Violations are :class:`~repro.check.violation.InvariantViolation`
 instances carrying component path, tick, and the most recent trace
-events from :mod:`repro.obs` (the checker attaches a small ring sink to
-the simulator's tracer while enabled).  By default the first violation
-raises; ``record_only=True`` collects instead, for tests that assert on
-``checker.violations``.
+events from :mod:`repro.obs` (the simulator's tracer keeps a small
+window of raw emits while the checker is enabled and turns it into
+event dicts only when a violation reads it).  By default the first
+violation raises; ``record_only=True`` collects instead, for tests that
+assert on ``checker.violations``.
 """
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List
 
 from repro.check.violation import InvariantViolation
 
@@ -57,27 +57,6 @@ __all__ = ["InvariantChecker"]
 
 #: Human-readable flow-control class names, indexed by flow-class int.
 _FLOW_NAMES = ("posted", "non-posted", "completion")
-
-
-class _RingSink:
-    """A bounded trace sink holding the most recent events for context.
-
-    Deliberately duck-typed rather than a
-    :class:`repro.obs.trace.TraceSink` subclass: ``repro.obs``'s package
-    init imports ``repro.sim``, which imports this module — subclassing
-    would close an import cycle.  The tracer only ever calls
-    ``record``/``close``.
-    """
-
-    def __init__(self, maxlen: int):
-        self.events: Deque[dict] = deque(maxlen=maxlen)
-
-    def record(self, event: dict) -> None:
-        """Append one event, evicting the oldest beyond ``maxlen``."""
-        self.events.append(event)
-
-    def close(self) -> None:
-        """Nothing to flush; the ring lives in memory."""
 
 
 def _resolve_port(sim, full_name: str):
@@ -137,9 +116,9 @@ class InvariantChecker:
 
     Args:
         sim: the owning :class:`~repro.sim.simobject.Simulator`.
-        context_events: size of the ring buffer of recent trace events
-            attached while the checker is enabled (0 disables context
-            capture).
+        context_events: how many recent trace events the tracer keeps
+            for violation context while the checker is enabled (0
+            disables context capture).
         record_only: when True, violations are appended to
             :attr:`violations` instead of raised — the mode campaign
             summaries and negative tests use.
@@ -147,12 +126,14 @@ class InvariantChecker:
 
     def __init__(self, sim, context_events: int = 64,
                  record_only: bool = False):
+        if context_events < 0:
+            raise ValueError(
+                f"context_events must be >= 0, got {context_events!r}")
         self.sim = sim
         self.enabled = False
         self.record_only = record_only
         self.context_events = context_events
         self.violations: List[InvariantViolation] = []
-        self._ring: Optional[_RingSink] = None
         self._last_dispatch_tick = 0
         # One ledger per bound master/slave pair, keyed by the master
         # port; refused-packet records keyed by the re-sending port.
@@ -166,28 +147,25 @@ class InvariantChecker:
 
     # -- lifecycle ---------------------------------------------------------
     def enable(self) -> "InvariantChecker":
-        """Arm every hook; attach the context ring to the tracer."""
+        """Arm every hook; have the tracer keep the context window."""
         if self.enabled:
             return self
         self.enabled = True
-        if self.context_events and self._ring is None:
-            self._ring = _RingSink(self.context_events)
-            self.sim.tracer.attach(self._ring)
+        if self.context_events:
+            self.sim.tracer.keep_window(self.context_events)
         return self
 
     def disable(self) -> "InvariantChecker":
-        """Disarm the hooks and detach the context ring."""
+        """Disarm the hooks and drop the tracer's context window."""
         if not self.enabled:
             return self
         self.enabled = False
-        if self._ring is not None and self._ring in self.sim.tracer.sinks:
-            self.sim.tracer.detach(self._ring)
-        self._ring = None
+        self.sim.tracer.drop_window()
         return self
 
     def recent_events(self) -> List[dict]:
         """The captured trace context, oldest first (may be empty)."""
-        return list(self._ring.events) if self._ring is not None else []
+        return self.sim.tracer.recent_events()
 
     def _violate(self, rule: str, component: str, detail: str) -> None:
         """Record one violation; raise it unless in record-only mode."""

@@ -3,7 +3,7 @@
 An :class:`InvariantViolation` is deliberately more than an assert: it
 carries the *rule* that fired, the dotted path of the component it
 fired on, the simulated tick, a human-readable detail string, and the
-most recent trace events the checker's ring buffer captured — enough
+most recent trace events the checker's context window captured — enough
 to reconstruct the protocol exchange that led to the violation without
 re-running the simulation under a full trace sink.
 """
@@ -21,8 +21,8 @@ class InvariantViolation(RuntimeError):
         tick: simulated tick at which the violation was observed.
         detail: human-readable description of what went wrong.
         context: the most recent trace events (oldest first) captured by
-            the checker's ring buffer, or an empty list when tracing was
-            unavailable.
+            the checker's context window, or an empty list when context
+            capture was off.
     """
 
     #: How many trailing context events :meth:`__str__` renders.

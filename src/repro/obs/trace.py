@@ -3,9 +3,12 @@
 The simulator's end-of-run statistics say *how much* replaying,
 refusing and buffering happened; a trace says *when and to whom*.  A
 :class:`Tracer` hangs off every :class:`~repro.sim.simobject.Simulator`
-and is disabled until a :class:`TraceSink` is attached, so the hot
-paths pay only a single attribute load and branch
-(``if trc.enabled:``) when tracing is off.
+is disabled until a :class:`TraceSink` is attached or a context window
+is kept (the invariant checker keeps one while armed), so the hot paths
+pay only a single attribute load and branch (``if trc.enabled:``) when
+tracing is off.  The window holds the raw arguments of the most recent
+:meth:`Tracer.emit` calls and builds event dicts only when read, so a
+checker-armed run that never reports a violation never builds one.
 
 Trace events are flat dicts with a handful of reserved keys:
 
@@ -27,7 +30,8 @@ runs producing the same events produce the same *bytes*.
 """
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 #: Bumped whenever the event vocabulary or the reserved keys change in a
 #: way consumers could notice.  Policy: additive fields do not bump the
@@ -163,12 +167,12 @@ class ChromeTraceSink(TraceSink):
 class Tracer:
     """The per-:class:`Simulator` trace-point multiplexer.
 
-    Disabled (``enabled`` False) until a sink is attached; every
-    instrumented hot path guards its :meth:`emit` call on ``enabled``,
-    which is the whole zero-overhead-when-disabled story.  Components
-    cache their simulator's tracer at construction, so a Simulator's
-    tracer instance is never replaced — only attached to or detached
-    from.
+    Disabled (``enabled`` False) until a sink is attached or a context
+    window is kept; every instrumented hot path guards its :meth:`emit`
+    call on ``enabled``, which is the whole zero-overhead-when-disabled
+    story.  Components cache their simulator's tracer at construction,
+    so a Simulator's tracer instance is never replaced — only attached
+    to or detached from.
 
     Args:
         categories: when not None, only events whose ``cat`` is in this
@@ -182,6 +186,11 @@ class Tracer:
         self.categories = frozenset(categories) if categories is not None else None
         self._tlp_ids: Dict[int, int] = {}
         self._next_tlp_id = 0
+        # Raw (t, cat, comp, ev, fields) tuples of the latest emits.
+        self._window: Optional[Deque[Tuple[int, str, str, str, dict]]] = None
+
+    def _update_enabled(self) -> None:
+        self.enabled = bool(self.sinks) or self._window is not None
 
     # -- sink management ---------------------------------------------------
     def attach(self, sink: TraceSink) -> TraceSink:
@@ -191,14 +200,33 @@ class Tracer:
 
     def detach(self, sink: TraceSink) -> None:
         self.sinks.remove(sink)
-        self.enabled = bool(self.sinks)
+        self._update_enabled()
 
     def close(self) -> None:
-        """Close every sink and disable tracing."""
+        """Close and detach every sink; a kept window stays live."""
         for sink in self.sinks:
             sink.close()
         self.sinks.clear()
-        self.enabled = False
+        self._update_enabled()
+
+    # -- context window ----------------------------------------------------
+    def keep_window(self, maxlen: int) -> None:
+        """Start keeping the latest ``maxlen`` events, from empty."""
+        self._window = deque(maxlen=maxlen)
+        self.enabled = True
+
+    def drop_window(self) -> None:
+        """Stop keeping the window and discard its events."""
+        self._window = None
+        self._update_enabled()
+
+    def recent_events(self) -> List[dict]:
+        """The window's events as trace dicts, oldest first (empty when
+        no window is kept).  Built here, not in :meth:`emit`."""
+        if self._window is None:
+            return []
+        return [{"t": t, "cat": cat, "comp": comp, "ev": ev, **fields}
+                for t, cat, comp, ev, fields in self._window]
 
     # -- identity ----------------------------------------------------------
     def tlp_id(self, req_id: int) -> int:
@@ -234,10 +262,13 @@ class Tracer:
     def emit(self, t: int, cat: str, comp: str, ev: str, **fields) -> None:
         if self.categories is not None and cat not in self.categories:
             return
-        event = {"t": t, "cat": cat, "comp": comp, "ev": ev}
-        event.update(fields)
-        for sink in self.sinks:
-            sink.record(event)
+        if self._window is not None:
+            self._window.append((t, cat, comp, ev, fields))
+        if self.sinks:
+            event = {"t": t, "cat": cat, "comp": comp, "ev": ev}
+            event.update(fields)
+            for sink in self.sinks:
+                sink.record(event)
 
 
 def load_trace(source: Union[str, Iterable[str]]):

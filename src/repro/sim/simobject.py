@@ -199,6 +199,10 @@ class SimObject:
             joining parent names with dots, as in gem5
             (``system.pcie.switch.port0``).
         parent: optional parent object for naming/statistics nesting.
+
+    Names and parents never change after construction, so
+    :attr:`full_name` — the dotted gem5-style path from the root to
+    this object — is computed once at construction, not per access.
     """
 
     def __init__(self, sim: Simulator, name: str, parent: Optional["SimObject"] = None):
@@ -213,6 +217,7 @@ class SimObject:
         # curtick reads) shouldn't pay a two-hop property chain.
         self.eventq = sim.eventq
         self.parent = parent
+        self.full_name = name if parent is None else f"{parent.full_name}.{name}"
         self.children: List["SimObject"] = []
         if parent is not None:
             parent.children.append(self)
@@ -222,16 +227,6 @@ class SimObject:
         else:
             sim.stats.add_child(self.stats)
         sim.register(self)
-
-    @property
-    def full_name(self) -> str:
-        """Dotted gem5-style path from the root to this object."""
-        parts = []
-        node: Optional[SimObject] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return ".".join(reversed(parts))
 
     # -- convenience passthroughs ------------------------------------------
     @property
@@ -243,8 +238,8 @@ class SimObject:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
         The descriptive ``owner.method`` label is only materialised when
-        the tracer is enabled — full-name construction walks the parent
-        chain and allocates a string per call, which the untraced hot
+        the tracer is enabled: :attr:`full_name` is precomputed, but the
+        label still allocates a string per call, which the untraced hot
         path should not pay.  (Events scheduled while tracing is off
         keep the callback's bare ``__name__`` as their label.)
         """

@@ -8,13 +8,17 @@ rules without the first raise aborting the exchange.
 
 import pytest
 
+from benchmarks import config
 from repro.check import InvariantChecker, InvariantViolation
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PortError, SlavePort
+from repro.obs.trace import MemorySink
 from repro.pcie.fc import CreditLedger
 from repro.pcie.pkt import PciePacket
 from repro.sim.eventq import CallbackEvent
 from repro.sim.simobject import CHECK_ENV, SimObject, Simulator
+from repro.system.topology import build_validation_system
+from repro.workloads.dd import DdWorkload
 
 from tests.pcie.test_link import build_dma_path
 
@@ -60,14 +64,30 @@ def test_check_env_enables(monkeypatch):
     assert not Simulator(check=False).checker.enabled
 
 
-def test_check_knob_enables_and_attaches_ring(monkeypatch):
+def test_check_knob_enables_and_keeps_window(monkeypatch):
     monkeypatch.delenv(CHECK_ENV, raising=False)
     sim = Simulator(check=True)
     assert sim.checker.enabled
-    assert sim.checker._ring in sim.tracer.sinks
+    # The context window lives in the tracer: arming enables it with no
+    # sink attached.
+    assert sim.tracer.enabled and sim.tracer.sinks == []
     sim.checker.disable()
     assert not sim.checker.enabled
-    assert sim.checker._ring is None
+    assert not sim.tracer.enabled
+    assert sim.checker.recent_events() == []
+
+
+def test_zero_context_events_keeps_no_window(monkeypatch):
+    monkeypatch.delenv(CHECK_ENV, raising=False)
+    sim = Simulator(check=False)
+    checker = InvariantChecker(sim, context_events=0).enable()
+    assert checker.enabled and not sim.tracer.enabled
+    assert checker.recent_events() == []
+
+
+def test_negative_context_events_rejected_at_construction():
+    with pytest.raises(ValueError, match="context_events"):
+        InvariantChecker(Simulator(check=False), context_events=-1)
 
 
 def test_components_cache_the_checker():
@@ -257,10 +277,52 @@ def test_violation_carries_trace_context():
     sim.run()
     with pytest.raises(InvariantViolation) as exc:
         link.downstream_if.receive_from_link(PciePacket.ack(99))
-    # The ring sink captured the exchange that preceded the violation.
+    # The context window captured the exchange that preceded the violation.
     assert exc.value.context
     assert "link.ack_unsent_seq" in str(exc.value)
     assert "last" in str(exc.value)  # the rendered context header
+
+
+def test_tracer_close_leaves_the_context_window_live():
+    sim = Simulator(check=True)
+    link, device, memory = build_dma_path(sim)
+    sim.tracer.attach(MemorySink())
+    device.write(0x80000000, 64)
+    sim.run()
+    sim.tracer.close()
+    assert sim.tracer.enabled and sim.tracer.sinks == []
+    before = sim.checker.recent_events()
+    device.write(0x80000040, 64)
+    sim.run()
+    after = sim.checker.recent_events()
+    assert after[-1]["t"] > before[-1]["t"], "window froze at close()"
+
+
+@pytest.mark.parametrize("categories", [None, ("link",)])
+def test_context_window_equals_a_sinks_tail(categories):
+    # Oracle: a MemorySink beside the armed checker sees every event
+    # the window saw, so the window must be exactly the sink's tail —
+    # same events, order, keys and key order — under fault injection.
+    system = build_validation_system(
+        error_rate=0.1, dllp_error_rate=0.1, check=True,
+        **config.SYSTEM_DEFAULTS)
+    sim = system.sim
+    sim.checker.record_only = True
+    if categories is not None:
+        sim.tracer.categories = frozenset(categories)
+    sink = sim.tracer.attach(MemorySink())
+    dd = DdWorkload(system.kernel, system.disk_driver, 16 * 1024)
+    process = system.kernel.spawn("dd", dd.run())
+    system.run(max_events=5_000_000)
+    assert process.done and sim.checker.violations == []
+    assert any(e["ev"] == "tlp_corrupt" for e in sink.events)
+    if categories is not None:
+        assert {e["cat"] for e in sink.events} == set(categories)
+    window = sim.checker.recent_events()
+    tail = sink.events[-sim.checker.context_events:]
+    assert len(window) == sim.checker.context_events
+    assert window == tail
+    assert [list(e) for e in window] == [list(e) for e in tail]
 
 
 def test_record_only_collects_instead_of_raising():

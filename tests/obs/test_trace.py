@@ -145,3 +145,35 @@ def test_close_closes_sinks_and_disables():
     tracer.close()
     assert len(closed) == 2
     assert not tracer.enabled and not tracer.sinks
+
+
+def test_window_keeps_raw_emits_and_builds_dicts_on_read():
+    tracer = Tracer(categories=("link",))
+    tracer.keep_window(2)
+    assert tracer.enabled and not tracer.sinks
+    tracer.emit(1, "link", "a", "tlp_tx", tlp=0, seq=0)
+    tracer.emit(2, "eventq", "q", "dispatch", name="x", pri=0)
+    tracer.emit(3, "link", "b", "dllp_rx", seq=0)
+    tracer.emit(4, "link", "c", "tlp_deliver", tlp=0, seq=0)
+    events = tracer.recent_events()
+    assert events == [
+        {"t": 3, "cat": "link", "comp": "b", "ev": "dllp_rx", "seq": 0},
+        {"t": 4, "cat": "link", "comp": "c", "ev": "tlp_deliver", "tlp": 0,
+         "seq": 0},
+    ]
+    assert list(events[1]) == ["t", "cat", "comp", "ev", "tlp", "seq"]
+    tracer.drop_window()
+    assert not tracer.enabled and tracer.recent_events() == []
+
+
+def test_detach_and_close_leave_a_kept_window_enabled():
+    tracer = Tracer()
+    tracer.keep_window(4)
+    sink = tracer.attach(MemorySink())
+    tracer.detach(sink)
+    assert tracer.enabled
+    tracer.attach(MemorySink())
+    tracer.close()
+    assert tracer.enabled and not tracer.sinks
+    tracer.emit(5, "link", "a", "tlp_tx")
+    assert tracer.recent_events()[-1]["t"] == 5

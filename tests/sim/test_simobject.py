@@ -15,6 +15,18 @@ def test_full_name_walks_parents():
     assert pcie.children == [port]
 
 
+def test_full_name_is_the_dotted_path_for_nested_objects():
+    sim = Simulator()
+    node = None
+    for name in ("system", "pcie", "switch", "port0"):
+        node = SimObject(sim, name, parent=node)
+    assert node.full_name == "system.pcie.switch.port0"
+    assert node.parent.full_name == "system.pcie.switch"
+    # Computed once at construction, not walked per access.
+    assert vars(node)["full_name"] == "system.pcie.switch.port0"
+    assert sim.find("system.pcie.switch.port0") is node
+
+
 def test_name_must_be_non_empty():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -113,7 +125,7 @@ def test_on_exit_waits_for_a_drained_run():
 
 
 def test_schedule_label_is_lazy():
-    # check=False keeps the checker's context ring off the tracer, so
+    # check=False keeps the checker's context window out of the tracer, so
     # the tracer is genuinely disabled even under REPRO_CHECK=on.
     sim = Simulator(check=False)
     system = SimObject(sim, "system")

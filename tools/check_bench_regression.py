@@ -14,12 +14,13 @@ thresholds are set ~25 % above the measured values: CI noise passes, a
 real hot-path regression does not.  Kept in a script so the CI job and
 local runs share one definition of "pass".
 
-The thresholds file *is* the contract: every key ending in ``_norm``
-is a ceiling (lower is better), every key ending in ``_min`` is a
-floor on the metric named without the suffix (higher is better), and
-keys starting with ``_`` are comments.  That makes the script artifact-
-agnostic — BENCH_core.json and BENCH_traffic.json share it, each with
-its own thresholds file.
+The thresholds file *is* the contract: every key ending in ``_min``
+is a floor on the metric named without the suffix (higher is better),
+every key ending in ``_max`` is a ceiling on the metric named without
+the suffix, every other key (``*_norm``) is a ceiling on the metric of
+the same name (lower is better), and keys starting with ``_`` are
+comments.  That makes the script artifact-agnostic — BENCH_core.json
+and BENCH_traffic.json share it, each with its own thresholds file.
 """
 
 import json
@@ -51,12 +52,13 @@ def check(doc, thresholds):
     problems = []
     for key in ceilings:
         limit = thresholds[key]
-        value = after.get(key)
+        metric = key.removesuffix("_max")
+        value = after.get(metric)
         if value is None:
             problems.append(f"missing metric for threshold {key!r} "
                             f"(limit={limit})")
         elif value > limit:
-            problems.append(f"{key} = {value} exceeds threshold {limit} "
+            problems.append(f"{metric} = {value} exceeds threshold {limit} "
                             f"({value / limit - 1.0:+.1%})")
     for key in floors:
         limit = thresholds[key]
@@ -91,7 +93,8 @@ def main(argv=None):
     ceilings, floors = classify(thresholds)
     print(f"perf regression gate passed ({argv[0]}):")
     for key in ceilings:
-        print(f"  {key} = {after.get(key)} (limit {thresholds[key]})")
+        metric = key.removesuffix("_max")
+        print(f"  {metric} = {after.get(metric)} (limit {thresholds[key]})")
     for key in floors:
         metric = key.removesuffix("_min")
         print(f"  {metric} = {after.get(metric)} (floor {thresholds[key]})")
