@@ -24,14 +24,18 @@ is what ``tools/check_bench_regression.py`` thresholds — CI runners of
 very different speeds can then share one committed threshold file.
 
 The JSON artifact keeps a ``before`` and an ``after`` block so a perf
-PR records both sides of its claim::
+change records both sides of its claim::
 
     python -m benchmarks.core_perf --phase before   # on the old tree
     python -m benchmarks.core_perf --phase after    # on the new tree
 
 Writing one phase preserves the other phase already in the file and
-recomputes the ``speedup`` summary.  ``--quick`` shrinks repeat counts
-for CI.
+recomputes the ``speedup`` summary.  Every block written is also
+appended to the ``trajectory`` list, stamped with its phase, the
+checked-out commit (read from ``.git``; a block measured on
+uncommitted changes carries its parent's hash), the usable core count
+and the Python version, so the file is a time series rather than one
+overwritten pair.  ``--quick`` shrinks repeat counts for CI.
 """
 
 import argparse
@@ -51,6 +55,7 @@ from repro.pcie.timing import PcieGen
 from repro.sim.eventq import Event, EventQueue
 from repro.sim.simobject import SimObject, Simulator
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_CORE_PATH = os.path.join(RESULTS_DIR, "BENCH_core.json")
 
@@ -318,13 +323,46 @@ def _speedup(doc: Dict[str, Any]) -> Optional[Dict[str, float]]:
     return out or None
 
 
+def git_commit(root: str = REPO_ROOT) -> Optional[str]:
+    """The commit checked out at ``root``, read from its ``.git``
+    directory without running git (loose or packed branch ref, or a
+    detached HEAD); None when ``root`` is not a git checkout."""
+    git_dir = os.path.join(root, ".git")
+    try:
+        with open(os.path.join(git_dir, "HEAD"), encoding="utf-8") as fh:
+            head = fh.read().strip()
+        if not head.startswith("ref:"):
+            return head or None
+        ref = head[len("ref:"):].strip()
+        loose = os.path.join(git_dir, *ref.split("/"))
+        if os.path.isfile(loose):
+            with open(loose, encoding="utf-8") as fh:
+                return fh.read().strip() or None
+        with open(os.path.join(git_dir, "packed-refs"), encoding="utf-8") as fh:
+            for line in fh:
+                parts = line.split()
+                if len(parts) == 2 and parts[1] == ref:
+                    return parts[0]
+    except OSError:
+        return None
+    return None
+
+
 def write_bench(phase_block: Dict[str, Any], phase: str,
                 path: str = BENCH_CORE_PATH) -> Dict[str, Any]:
-    """Merge one phase into the artifact at ``path`` and rewrite it."""
+    """Merge one phase into the artifact at ``path``, append it to the
+    ``trajectory``, and rewrite the file."""
     doc = load_bench(path)
     doc["schema"] = SCHEMA
     doc[phase] = phase_block
     doc["timestamp"] = round(time.time(), 3)
+    trajectory = doc.get("trajectory")
+    if not isinstance(trajectory, list):
+        trajectory = doc["trajectory"] = []
+    trajectory.append(dict(
+        phase_block, phase=phase, timestamp=doc["timestamp"],
+        commit=git_commit(), usable_cores=len(os.sched_getaffinity(0)),
+        python=platform.python_version()))
     speedup = _speedup(doc)
     if speedup is not None:
         doc["speedup"] = speedup

@@ -312,10 +312,14 @@ class PacketQueue:
             self.refused.inc()
             return False
         self.occupancy.sample(len(entries))
-        ready = self.eventq.curtick + delay
-        entries.append((ready, pkt))
+        eventq = self.eventq
+        now = eventq.curtick
+        entries.append((now + delay, pkt))
         if not self._drain_scheduled and not self._waiting_retry:
-            self._schedule_drain()
+            # _schedule_drain() inlined (the queue is non-empty here).
+            ready = entries[0][0]
+            self._drain_scheduled = True
+            eventq.schedule(self._drain_event, ready if ready > now else now)
         return True
 
     def retry(self) -> None:
@@ -342,6 +346,8 @@ class PacketQueue:
         now = self.eventq.curtick
         send_fn = self.send_fn
         sent = self.sent
+        on_packet_sent = self.on_packet_sent
+        on_space_freed = self.on_space_freed
         while entries and not self._waiting_retry:
             ready, pkt = entries[0]
             if ready > now:
@@ -352,7 +358,7 @@ class PacketQueue:
                 return
             entries.popleft()
             sent.inc()
-            if self.on_packet_sent is not None:
-                self.on_packet_sent(pkt)
-            if self.on_space_freed is not None:
-                self.on_space_freed()
+            if on_packet_sent is not None:
+                on_packet_sent(pkt)
+            if on_space_freed is not None:
+                on_space_freed()

@@ -63,8 +63,10 @@ from typing import Deque, Optional
 from repro.mem.packet import FLOW_CPL, Packet
 from repro.mem.port import MasterPort, SlavePort
 from repro.pcie.fc import CreditLedger
-from repro.pcie.pkt import FLOW_CLASS_FOR_DLLP, DllpType, PciePacket
+from repro.pcie.pkt import UPDATE_FC_FOR, DllpType, PciePacket
 from repro.pcie.timing import (
+    DLLP_WIRE_BYTES,
+    TLP_OVERHEAD_BYTES,
     LinkTiming,
     PcieGen,
     ack_timer_ticks,
@@ -99,7 +101,7 @@ class _TxDoneEvent(Event):
         sender = self.sender
         self.sender = None
         self.link.busy = False
-        sender.link_free()
+        sender._kick_tx()
 
 
 class _DeliverEvent(Event):
@@ -157,8 +159,15 @@ class UnidirectionalLink(SimObject):
         """Serialize ``ppkt`` onto the wire towards ``receiver``."""
         if self.busy:
             raise RuntimeError(f"{self.full_name} is busy")
-        wire = ppkt.wire_bytes()
-        tx_time = self.timing.transmission_ticks(wire)
+        # PciePacket.wire_bytes() and the LinkTiming memo, inlined: this
+        # runs once per wire packet and a run sees a handful of sizes.
+        tlp = ppkt.tlp
+        wire = (DLLP_WIRE_BYTES if tlp is None
+                else tlp.payload_size + TLP_OVERHEAD_BYTES)
+        timing = self.timing
+        tx_time = timing._tx_ticks_cache.get(wire)
+        if tx_time is None:
+            tx_time = timing.transmission_ticks(wire)
         self.busy = True
         self.packets.inc()
         self.bytes.inc(wire)
@@ -310,11 +319,6 @@ class PcieLinkInterface(SimObject):
         return self.link_parent.replay_buffer_size
 
     @property
-    def input_queue_size(self) -> int:
-        """Per-queue bound on the component-facing input queues."""
-        return self.link_parent.input_queue_size
-
-    @property
     def input_queue(self) -> Deque[Packet]:
         """Combined view of both input queues (requests then
         completions) — diagnostics and quiescence checks only; the
@@ -341,7 +345,7 @@ class PcieLinkInterface(SimObject):
         """A TLP offered by the attached component (request via our slave
         port or response via our master port)."""
         queue = self._in_cpl if pkt.is_response else self._in_req
-        if len(queue) >= self.input_queue_size:
+        if len(queue) >= self.link_parent.input_queue_size:
             return False
         queue.append(pkt)
         self._kick_tx()
@@ -357,23 +361,29 @@ class PcieLinkInterface(SimObject):
         self._drain_rx()
 
     def _kick_tx(self) -> None:
-        if self.tx_link is None or self.tx_link.busy:
+        """Transmit the next pcie-pkt if our link is idle; called on
+        every change that may make one ready, and when the link frees."""
+        tx_link = self.tx_link
+        if tx_link is None or tx_link.busy:
             return
         ppkt = self._pick_next()
         if ppkt is None:
             return
+        tlp = ppkt.tlp
         trc = self.tracer
         if trc.enabled:
-            if ppkt.is_tlp:
+            if tlp is not None:
                 trc.emit(self.curtick, "link", self.full_name, "tlp_tx",
-                         tlp=trc.tlp_id(ppkt.tlp.req_id), seq=ppkt.seq,
-                         replay=ppkt.is_replay, resp=ppkt.tlp.is_response)
+                         tlp=trc.tlp_id(tlp.req_id), seq=ppkt.seq,
+                         replay=ppkt.is_replay, resp=tlp.is_response)
             else:
                 trc.emit(self.curtick, "link", self.full_name, "dllp_tx",
                          kind=ppkt.dllp_type.value, seq=ppkt.seq)
-        self.tx_link.send(ppkt, self, self.peer)
-        if ppkt.is_tlp and not self._replay_event.scheduled:
-            self.eventq.schedule_after(self._replay_event, self.replay_timeout)
+        tx_link.send(ppkt, self, self.peer)
+        if tlp is not None and self._replay_event._entry is None:
+            eventq = self.eventq
+            eventq.schedule(self._replay_event,
+                            eventq.curtick + self.link_parent.replay_timeout)
 
     def _pick_next(self) -> Optional[PciePacket]:
         """Select the next pcie-pkt per the paper's priority order."""
@@ -393,7 +403,7 @@ class PcieLinkInterface(SimObject):
                 ppkt.is_replay = True
                 self.tlp_replays.inc()
                 return ppkt
-        if len(self.replay_buffer) < self.replay_buffer_size:
+        if len(self.replay_buffer) < self.link_parent.replay_buffer_size:
             # New TLPs spend a credit of their class on first
             # transmission (replays above never re-consume: the
             # receiver's buffer slot is still accounted to the TLP).
@@ -417,7 +427,7 @@ class PcieLinkInterface(SimObject):
     def _wrap_new_tlp(self, pkt: Packet) -> PciePacket:
         """Sequence a first-time TLP, consuming one credit of its class."""
         self.fc.consume(pkt.flow_class)
-        ppkt = PciePacket.for_tlp(pkt, self.send_seq)
+        ppkt = PciePacket(tlp=pkt, seq=self.send_seq)
         self.send_seq += 1
         self.replay_buffer.append(ppkt)
         self.tlps_sent.inc()
@@ -429,16 +439,11 @@ class PcieLinkInterface(SimObject):
 
     def _issue_component_retries(self) -> None:
         """Input-queue space freed: let the component retry refusals."""
-        if (self.slave_port.retry_owed
-                and len(self._in_req) < self.input_queue_size):
+        size = self.link_parent.input_queue_size
+        if self.slave_port.retry_owed and len(self._in_req) < size:
             self.slave_port.send_retry_req()
-        if (self.master_port.resp_retry_owed
-                and len(self._in_cpl) < self.input_queue_size):
+        if self.master_port.resp_retry_owed and len(self._in_cpl) < size:
             self.master_port.send_retry_resp()
-
-    def link_free(self) -> None:
-        """Our unidirectional link finished a transmission."""
-        self._kick_tx()
 
     # -- credit stalls -------------------------------------------------------
     def _fc_blocked(self, cls: int) -> None:
@@ -447,7 +452,7 @@ class PcieLinkInterface(SimObject):
         fc = self.fc
         if not fc.stalled(cls):
             fc.stall_begin(cls, self.curtick)
-        if not self._fc_watchdog_event.scheduled:
+        if self._fc_watchdog_event._entry is None:
             self.eventq.schedule_after(self._fc_watchdog_event, self.fc_watchdog)
 
     def _fc_watchdog_fired(self) -> None:
@@ -473,7 +478,8 @@ class PcieLinkInterface(SimObject):
         monotone, so a duplicate advertisement is a no-op)."""
         fc = self.fc
         for cls in (0, 1, 2):
-            self._queue_dllp(PciePacket.update_fc(cls, fc.rx_limit(cls)))
+            self._queue_dllp(PciePacket(dllp_type=UPDATE_FC_FOR[cls],
+                                        seq=fc.rx_limit(cls)))
         self._kick_tx()
 
     def _credits_arrived(self, cls: int) -> None:
@@ -481,7 +487,7 @@ class PcieLinkInterface(SimObject):
         clock, stand down the watchdog if nothing is starved, resume."""
         fc = self.fc
         fc.stall_end(cls, self.curtick)
-        if (self._fc_watchdog_event.scheduled
+        if (self._fc_watchdog_event._entry is not None
                 and not (fc.stalled(0) or fc.stalled(1) or fc.stalled(2))):
             self.eventq.deschedule(self._fc_watchdog_event)
         self._kick_tx()
@@ -504,23 +510,26 @@ class PcieLinkInterface(SimObject):
         self._kick_tx()
 
     def _reset_replay_timer(self) -> None:
-        if self._replay_event.scheduled:
-            self.eventq.deschedule(self._replay_event)
+        event = self._replay_event
+        eventq = self.eventq
+        if event._entry is not None:
+            eventq.deschedule(event)
         if self.replay_buffer:
-            self.eventq.schedule_after(self._replay_event, self.replay_timeout)
+            eventq.schedule(event,
+                            eventq.curtick + self.link_parent.replay_timeout)
 
     # ===================== RX: link -> component =========================
     def receive_from_link(self, ppkt: PciePacket) -> None:
         """Entry point for everything arriving off the wire."""
-        if ppkt.is_dllp:
+        if ppkt.tlp is None:
             self._receive_dllp(ppkt)
         else:
             self._receive_tlp(ppkt)
 
     def _receive_dllp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
-        if (self.link_parent.dllp_error_rate
-                and self._rng.random() < self.link_parent.dllp_error_rate):
+        error_rate = self.link_parent.dllp_error_rate
+        if error_rate and self._rng.random() < error_rate:
             # A corrupted DLLP fails its CRC and is silently discarded;
             # a lost ACK is recovered by the sender's replay timer, a
             # lost NAK by the next timeout or a later ACK/NAK, a lost
@@ -554,7 +563,9 @@ class PcieLinkInterface(SimObject):
             # UpdateFC: install the cumulative limit; stale (lower or
             # duplicate) limits are no-ops per the monotone rule.
             self.fc_updates_received.inc()
-            cls = FLOW_CLASS_FOR_DLLP[dllp_type]
+            # A tuple index, not a dict keyed by the enum: Enum.__hash__
+            # is a Python-level call.
+            cls = UPDATE_FC_FOR.index(dllp_type)
             if self.fc.advertise(cls, ppkt.seq):
                 self._credits_arrived(cls)
 
@@ -583,7 +594,8 @@ class PcieLinkInterface(SimObject):
 
     def _receive_tlp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
-        if self.link_parent.error_rate and self._rng.random() < self.link_parent.error_rate:
+        error_rate = self.link_parent.error_rate
+        if error_rate and self._rng.random() < error_rate:
             # A corrupted TLP: discard and NAK the last good sequence.
             # No credit moves — the sender's credit stays consumed and
             # our buffer slot stays reserved until the replay lands.
@@ -591,7 +603,8 @@ class PcieLinkInterface(SimObject):
             if trc.enabled:
                 trc.emit(self.curtick, "link", self.full_name, "tlp_corrupt",
                          tlp=trc.tlp_id(ppkt.tlp.req_id), seq=ppkt.seq)
-            self._queue_dllp(PciePacket.nak(self.recv_seq - 1))
+            self._queue_dllp(PciePacket(dllp_type=DllpType.NAK,
+                                        seq=self.recv_seq - 1))
             self._kick_tx()
             return
         if ppkt.seq != self.recv_seq:
@@ -671,23 +684,28 @@ class PcieLinkInterface(SimObject):
         returns the credit (coalesced — limits are cumulative)."""
         fc = self.fc
         fc.rx_drain(cls)
-        self._queue_dllp(PciePacket.update_fc(cls, fc.rx_limit(cls)))
+        self._queue_dllp(PciePacket(dllp_type=UPDATE_FC_FOR[cls],
+                                    seq=fc.rx_limit(cls)))
 
     # -- ACK scheduling ---------------------------------------------------------
     def _schedule_ack(self) -> None:
         if self.link_parent.ack_policy == "immediate":
-            self._queue_dllp(PciePacket.ack(self.recv_seq - 1))
+            self._queue_dllp(PciePacket(dllp_type=DllpType.ACK,
+                                        seq=self.recv_seq - 1))
             self._kick_tx()
             return
         self._have_unacked_delivery = True
-        if not self._ack_event.scheduled:
-            self.eventq.schedule_after(self._ack_event, self.ack_period)
+        event = self._ack_event
+        if event._entry is None:
+            eventq = self.eventq
+            eventq.schedule(event, eventq.curtick + self.link_parent.ack_period)
 
     def _ack_timer_fired(self) -> None:
         if not self._have_unacked_delivery:
             return
         self._have_unacked_delivery = False
-        self._queue_dllp(PciePacket.ack(self.recv_seq - 1))
+        self._queue_dllp(PciePacket(dllp_type=DllpType.ACK,
+                                    seq=self.recv_seq - 1))
         self._kick_tx()
 
     # -- checkpointing ----------------------------------------------------
@@ -805,6 +823,26 @@ class PcieLink(SimObject):
             raise ValueError(f"unknown ack policy {ack_policy!r}")
         if min(p_credits, np_credits, cpl_credits) < 1:
             raise ValueError("every flow-control class needs at least one credit")
+        # Knobs that would otherwise fail late (a wedged run, a
+        # past-schedule error at the first credit stall) or silently.
+        if input_queue_size < 1:
+            raise ValueError(
+                f"input_queue_size must be >= 1, got {input_queue_size!r}")
+        for knob, rate in (("error_rate", error_rate),
+                           ("dllp_error_rate", dllp_error_rate)):
+            if not 0 <= rate <= 1:
+                raise ValueError(f"{knob} must be in [0, 1], got {rate!r}")
+        if propagation_delay < 0:
+            raise ValueError(
+                f"propagation_delay must be >= 0, got {propagation_delay!r}")
+        if max_payload < 1:
+            raise ValueError(f"max_payload must be >= 1, got {max_payload!r}")
+        for knob, period in (("replay_timeout", replay_timeout),
+                             ("ack_period", ack_period),
+                             ("fc_watchdog", fc_watchdog)):
+            if period is not None and period < 1:
+                raise ValueError(
+                    f"{knob} must be >= 1 tick when set, got {period!r}")
         self.timing = LinkTiming(gen, width)
         self.replay_buffer_size = replay_buffer_size
         self.max_payload = max_payload

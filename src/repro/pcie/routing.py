@@ -185,31 +185,35 @@ class ComponentPort(SimObject):
                          "ingress_refused", tlp=trc.tlp_id(pkt.req_id),
                          resp=is_response, pool=self.pool_used)
             return False
-        self.pool_occupancy.sample(self.pool_used)
+        slots = self._slots
+        used = slots[0] + slots[1] + slots[2]
+        self.pool_occupancy.sample(used)
         if trc.enabled:
             trc.emit(self.curtick, "engine", self.full_name, "ingress",
                      tlp=trc.tlp_id(pkt.req_id), resp=is_response,
-                     pool=self.pool_used)
-        self.engine._register_owner(pkt, is_response, self)
+                     pool=used)
+        engine = self.engine
+        engine._register_owner(pkt, is_response, self)
         if not is_response and pkt.pci_bus_num == -1:
             pkt.pci_bus_num = self.stamp_bus_number()
-        now = self.eventq.curtick
+        eventq = self.eventq
+        now = eventq.curtick
         # The internal datapath admits one packet per service interval.
         # With datapath_scope="port" each port has its own pipeline;
         # with "engine" a single store-and-forward engine is shared by
         # every port and both directions, so a request flood delays
         # response processing too.
-        if self.engine.datapath_scope == "engine":
-            start = max(now, self.engine._datapath_next_free)
-            self.engine._datapath_next_free = start + self.engine.service_interval
+        if engine.datapath_scope == "engine":
+            start = max(now, engine._datapath_next_free)
+            engine._datapath_next_free = start + engine.service_interval
         else:
             start = max(now, self._proc_next_free)
-            self._proc_next_free = start + self.engine.service_interval
+            self._proc_next_free = start + engine.service_interval
         pool = self._processed_pool
         event = pool.pop() if pool else _ProcessedEvent(self)
         event.pkt = pkt
         event.is_response = is_response
-        self.eventq.schedule(event, start + self.engine.latency)
+        eventq.schedule(event, start + engine.latency)
         return True
 
     def stamp_bus_number(self) -> int:
@@ -331,9 +335,6 @@ class PcieRoutingEngine(SimObject):
         self.downstream_ports.append(port)
         return port
 
-    def _all_ports(self) -> List[ComponentPort]:
-        return [self.upstream_port] + self.downstream_ports
-
     def config_dict(self) -> dict:
         """The engine's knobs, recorded into stats exports; subclasses
         override to name their kind."""
@@ -429,5 +430,11 @@ class PcieRoutingEngine(SimObject):
 
     # -- backpressure fan-out ----------------------------------------------------------
     def _on_slot_freed(self) -> None:
-        for port in self._all_ports():
-            port.retry_refused_peers()
+        # Only a port that refused its ingress peer has a retry to send
+        # (retry_refused_peers() is a no-op on the others).  The owed
+        # flags are read as each port is reached, not up front: a
+        # retry can refill or drain pools before the next port's turn.
+        for port in (self.upstream_port, *self.downstream_ports):
+            if (port.slave_port._req_retry_owed
+                    or port.master_port._resp_retry_owed):
+                port.retry_refused_peers()

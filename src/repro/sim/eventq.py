@@ -43,14 +43,15 @@ class Event:
     # them dict-free.  Subclasses that add state must declare their own
     # __slots__ to stay that way (plain subclasses still work — they
     # just regain a __dict__).
-    __slots__ = ("priority", "name", "_when", "_entry")
+    __slots__ = ("priority", "name", "_entry")
 
     def __init__(self, priority: int = DEFAULT_PRI, name: str = ""):
         self.priority = priority
         self.name = name or type(self).__name__
-        self._when: Optional[int] = None
-        # The live queue entry for this event; squashing an entry is done
-        # by clearing its event slot so a stale entry can never fire even
+        # The live queue entry ``[when, priority, seq, event]`` for this
+        # event, or None while idle.  It is the only scheduling state:
+        # the tick lives in the entry.  Squashing an entry is done by
+        # clearing its event slot so a stale entry can never fire even
         # if the event is immediately rescheduled.
         self._entry: Optional[list] = None
 
@@ -63,7 +64,8 @@ class Event:
     @property
     def when(self) -> Optional[int]:
         """Tick at which the event will fire, or None if unscheduled."""
-        return self._when if self.scheduled else None
+        entry = self._entry
+        return entry[0] if entry is not None else None
 
     # -- behaviour ---------------------------------------------------------
     def process(self) -> None:
@@ -71,7 +73,7 @@ class Event:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r} @ {self._when}>"
+        return f"<{type(self).__name__} {self.name!r} @ {self.when}>"
 
 
 class CallbackEvent(Event):
@@ -133,7 +135,6 @@ class EventQueue:
             )
         if event._entry is not None:
             raise RuntimeError(f"{event!r} is already scheduled")
-        event._when = when
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = [when, event.priority, seq, event]
@@ -160,7 +161,6 @@ class EventQueue:
             raise RuntimeError(f"{event!r} is not scheduled")
         entry[3] = None
         event._entry = None
-        event._when = None
 
     def reschedule(self, event: Event, when: int) -> Event:
         """Move an event to a new tick, scheduling it if it was idle."""
@@ -219,7 +219,6 @@ class EventQueue:
                 raise RuntimeError(
                     f"cannot restore {event!r}: it is already scheduled")
             entry = [when, priority, seq, event]
-            event._when = when
             event._entry = entry
             heap.append(entry)
         heapq.heapify(heap)
@@ -248,7 +247,6 @@ class EventQueue:
             return False
         when, __, __, event = heapq.heappop(self._heap)
         self.curtick = when
-        event._when = None
         event._entry = None
         self.events_processed += 1
         trc = self.tracer
@@ -296,20 +294,22 @@ class EventQueue:
         remaining = -1 if max_events is None else max_events
         serviced = 0
         try:
-            while not self._stop_requested:
-                while heap and heap[0][3] is None:
+            while heap and not self._stop_requested:
+                # The head entry is loaded once: a squashed one is
+                # dropped, a live one is either dispatched or ends the run.
+                head = heap[0]
+                event = head[3]
+                if event is None:
                     pop(heap)
-                if not heap:
-                    break
-                when = heap[0][0]
+                    continue
+                when = head[0]
                 if when > until_t:
                     self.curtick = until
                     break
                 if remaining == serviced:
                     break
-                event = pop(heap)[3]
+                pop(heap)
                 self.curtick = when
-                event._when = None
                 event._entry = None
                 serviced += 1
                 if trc is not None and trc.enabled:

@@ -176,11 +176,27 @@ class LinkSpec:
         _require(self.ack_policy in ("timer", "immediate"),
                  f"link {self.name!r}: unknown ack policy {self.ack_policy!r}")
         _require(self.input_queue_size >= 1,
-                 f"link {self.name!r}: input queue must hold >= 1 TLP")
+                 f"link {self.name!r}: input_queue_size must be >= 1 "
+                 "(the input queue must hold a TLP)")
         for field in ("p_credits", "np_credits", "cpl_credits"):
             _require(getattr(self, field) >= 1,
                      f"link {self.name!r}: {field} must be >= 1 "
                      "(every flow-control class needs a credit)")
+        for field in ("error_rate", "dllp_error_rate"):
+            _require(0 <= getattr(self, field) <= 1,
+                     f"link {self.name!r}: {field} must be in [0, 1], "
+                     f"got {getattr(self, field)!r}")
+        _require(self.propagation_delay >= 0,
+                 f"link {self.name!r}: propagation_delay must be >= 0, "
+                 f"got {self.propagation_delay!r}")
+        _require(self.max_payload >= 1,
+                 f"link {self.name!r}: max_payload must be >= 1, "
+                 f"got {self.max_payload!r}")
+        for field in ("replay_timeout", "ack_period"):
+            value = getattr(self, field)
+            _require(value is None or value >= 1,
+                     f"link {self.name!r}: {field} must be >= 1 tick "
+                     f"when set, got {value!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """The link as a canonical-JSON-safe mapping (all fields, always)."""

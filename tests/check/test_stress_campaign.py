@@ -8,6 +8,9 @@ the campaign machinery end to end: every sampled configuration must
 complete its transfer with zero invariant violations.
 """
 
+import json
+import os
+
 from benchmarks.sweeps import (
     STRESS_DLLP_ERROR_RATES,
     STRESS_ERROR_RATES,
@@ -16,6 +19,22 @@ from benchmarks.sweeps import (
     stress_sweep,
 )
 from repro.exp import Sweep, SweepEngine
+
+#: The committed campaign payload (``python -m benchmarks.harness
+#: stress`` writes it; CI's invariant-check job reruns all 38 points).
+STRESS_RESULTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir,
+    "benchmarks", "results", "stress_sweep.json")
+
+#: Points tier-1 reruns for byte identity with the committed payload:
+#: TLP corruption alone (NAK/replay), DLLP corruption alone (lost ACKs
+#: and UpdateFCs, replay timeouts, the FC watchdog), and the
+#: credit-starvation scenario, all on the tightest buffers.
+IDENTITY_KEYS = (
+    "er0.1/dllp0.0/rb1/iq1",
+    "er0.0/dllp0.1/rb1/iq1",
+    "np_storm/unpinned",
+)
 
 #: The corners tier-1 runs: clean baseline, the worst of each error
 #: kind alone, and everything-at-once on the tightest buffers.
@@ -64,3 +83,21 @@ def test_sampled_campaign_corners_complete_with_zero_violations():
     assert result.results["er0.1/dllp0.1/rb1/iq1"]["tlps_corrupted"] > 0
     assert result.results["er0.1/dllp0.1/rb1/iq1"]["dllps_corrupted"] > 0
     assert result.results["er0.0/dllp0.0/rb4/iq2"]["tlps_corrupted"] == 0
+
+
+def test_fault_injected_points_reproduce_the_committed_payload():
+    """Fault-injected runs are deterministic and unchanged: rerun fresh,
+    each point's payload equals the committed one exactly."""
+    with open(STRESS_RESULTS) as fh:
+        committed = json.load(fh)
+    by_key = {p.key: p for p in stress_sweep().points}
+    sweep = Sweep("stress_identity")
+    for key in IDENTITY_KEYS:
+        point = by_key[key]
+        sweep.add(key, point.runner, **point.params)
+
+    result = SweepEngine(cache_dir=None).run(sweep)
+
+    for key in IDENTITY_KEYS:
+        assert json.dumps(result.results[key], sort_keys=True) == \
+            json.dumps(committed[key], sort_keys=True), key

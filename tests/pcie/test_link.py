@@ -192,6 +192,35 @@ def test_invalid_parameters_rejected():
         PcieLink(sim, "l2", ack_policy="sometimes")
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("error_rate", -0.5),
+    ("error_rate", 1.5),
+    ("dllp_error_rate", 7.0),
+    ("propagation_delay", -5),
+    ("max_payload", 0),
+    ("replay_timeout", 0),
+    ("ack_period", -3),
+    ("fc_watchdog", -1),
+    ("input_queue_size", 0),
+])
+def test_nonsensical_knob_rejected_at_construction(knob, value):
+    """Each knob fails when the link is built, naming itself, not late
+    or silently: input_queue_size=0 would refuse every send and wedge
+    the run, fc_watchdog=-1 would raise a past-schedule error at the
+    first credit stall."""
+    with pytest.raises(ValueError, match=knob):
+        PcieLink(Simulator(), "bad", **{knob: value})
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("error_rate", 0.0), ("error_rate", 1.0), ("dllp_error_rate", 1.0),
+    ("propagation_delay", 0), ("max_payload", 1), ("replay_timeout", 1),
+    ("ack_period", 1), ("fc_watchdog", 1), ("input_queue_size", 1),
+])
+def test_knob_range_boundaries_accepted(knob, value):
+    PcieLink(Simulator(), "edge", **{knob: value})
+
+
 def test_error_injection_exercises_nak_path():
     sim = Simulator()
     link, device, memory = build_dma_path(sim, error_rate=0.2, error_seed=7)

@@ -70,20 +70,61 @@ def test_requests_capped_below_pool_size():
     )
     port = rc.root_ports[0]
     assert port._slot_caps == [rc.p_slots, rc.np_slots, rc.cpl_slots]
-    max_req_slots = {"seen": 0}
+    max_req_slots = {"seen": 0, "calls": 0}
     original = port._try_reserve
 
     def spy(flow_class):
         ok = original(flow_class)
         req_slots = port._slots[0] + port._slots[1]  # P + NP
         max_req_slots["seen"] = max(max_req_slots["seen"], req_slots)
+        max_req_slots["calls"] += 1
         return ok
 
     port._try_reserve = spy
-    for i in range(16):
+    writes = 16
+    for i in range(writes):
         dev_dma.write(0x80000000 + 64 * i, 64)
     sim.run(max_events=500_000)
+    # The spy must have seen every ingress attempt, or the cap below is
+    # checked against nothing.
+    assert max_req_slots["calls"] >= writes
     assert max_req_slots["seen"] <= rc.p_slots + rc.np_slots  # == 3
+
+
+def test_slot_release_retries_only_ports_that_owe_a_retry():
+    """A freed slot retries the refused ingress peer, and never asks a
+    port whose peers were not refused."""
+    sim = Simulator()
+    rc, cpu, memory, dev_pio, dev_dma = build(
+        sim, buffer_size=4, service_interval=ticks.from_ns(100)
+    )
+    asked = []
+    for port in [rc.upstream_port] + rc.downstream_ports:
+        def spy(port=port, original=port.retry_refused_peers):
+            owed = (port.slave_port.retry_owed
+                    or port.master_port.resp_retry_owed)
+            asked.append((port.name, owed))
+            original()
+        port.retry_refused_peers = spy
+    root = rc.root_ports[0]
+    retries = {"n": 0}
+    original_retry = root.slave_port.send_retry_req
+
+    def counting_retry():
+        retries["n"] += 1
+        original_retry()
+
+    root.slave_port.send_retry_req = counting_retry
+    for i in range(32):
+        dev_dma.write(0x80000000 + 64 * i, 64)
+    sim.run(max_events=500_000)
+    assert len(dev_dma.responses) == 32
+    assert root.ingress_refusals.value() > 0
+    # Every refusal of the DMA master was answered by a retry...
+    assert retries["n"] == root.ingress_refusals.value()
+    assert (root.name, True) in asked
+    # ...and no port was asked while it owed nothing.
+    assert all(owed for __, owed in asked)
 
 
 def test_mixed_traffic_under_pressure_completes():

@@ -93,6 +93,41 @@ def test_event_can_be_rescheduled_after_firing():
     assert log == ["x", "x"]
 
 
+def test_when_tracks_the_scheduled_tick():
+    """``when`` is read from the live queue entry: the tick while
+    scheduled, None once fired (already inside process) or descheduled,
+    and it follows every reschedule."""
+    q = EventQueue()
+    seen = []
+    ev = CallbackEvent(lambda: seen.append(ev.when))
+    assert ev.when is None
+    q.schedule(ev, 10)
+    assert ev.when == 10 and ev.scheduled
+    q.reschedule(ev, 40)
+    assert ev.when == 40
+    q.reschedule(ev, 25)
+    assert ev.when == 25
+    q.run()
+    assert seen == [None]
+    assert ev.when is None and not ev.scheduled
+    q.schedule_after(ev, 5)
+    assert ev.when == 30
+    assert "@ 30" in repr(ev)
+    q.deschedule(ev)
+    assert ev.when is None
+    assert "@ None" in repr(ev)
+
+
+def test_when_after_restore_is_the_restored_tick():
+    q = EventQueue()
+    ev = CallbackEvent(lambda: None)
+    q.load_state_dict({"curtick": 5, "next_seq": 9, "events_processed": 0},
+                      [(70, ev.priority, 3, ev)])
+    assert ev.when == 70
+    q.run()
+    assert ev.when is None and q.curtick == 70
+
+
 def test_run_until_limit_advances_clock_to_limit():
     q = EventQueue()
     log = []

@@ -74,6 +74,32 @@ def test_zero_credit_class_is_rejected():
         ]).finalize()
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("error_rate", -0.5),
+    ("error_rate", 1.5),
+    ("dllp_error_rate", 7.0),
+    ("propagation_delay", -5),
+    ("max_payload", 0),
+    ("replay_timeout", 0),
+    ("ack_period", -3),
+    ("input_queue_size", 0),
+])
+def test_nonsensical_link_knob_is_rejected(knob, value):
+    """A knob out of range fails spec validation, naming itself, before
+    anything is built."""
+    with pytest.raises(SpecError, match=knob):
+        TopologySpec(children=[
+            DeviceSpec("disk", link=LinkSpec(name="l", **{knob: value}))
+        ]).finalize()
+
+
+def test_link_knob_range_boundaries_are_accepted():
+    link = LinkSpec(name="l", error_rate=1.0, dllp_error_rate=0.0,
+                    propagation_delay=0, max_payload=1, replay_timeout=1,
+                    ack_period=1, input_queue_size=1)
+    link.validate()
+
+
 def test_canonical_is_order_insensitive_and_digest_tracks_content():
     a = validation_spec()
     b = validation_spec()
